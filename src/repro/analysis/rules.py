@@ -536,6 +536,8 @@ class RegistryHygieneRule(Rule):
 _DELTA_HARNESS_RELPATH = "tests/test_dynamic_equivalence.py"
 #: Module-level constant inside the harness naming the exercised engines.
 _DELTA_HARNESS_CONSTANT = "DELTA_EXERCISED_ENGINES"
+#: The pipeline engines' base, whose ``apply_delta`` the harness proves.
+_PIPELINE_ENGINE_BASE = "repro.core.engine._EngineBase"
 
 
 class DeltaEquivalenceRule(Rule):
@@ -543,12 +545,14 @@ class DeltaEquivalenceRule(Rule):
 
     The PR-10 maintenance seam promises that applying a delta yields an
     engine bit-identical to a from-scratch rebuild on the mutated dataset.
-    The base ``QueryEngine.apply_delta`` carries that proof via
-    ``tests/test_dynamic_equivalence.py``; any registered engine that
-    *overrides* ``apply_delta`` (wrappers like the pool, the instrumented
-    engine, or the fallback chain) re-implements the promise and so must be
-    named in that harness's ``DELTA_EXERCISED_ENGINES`` fixture list —
-    otherwise the override ships unproven.
+    The pipeline engines' shared ``_EngineBase.apply_delta`` carries that
+    proof via ``tests/test_dynamic_equivalence.py``; any registered engine
+    whose resolved ``apply_delta`` comes from anywhere else — defined on the
+    class itself or inherited from another base, such as the serving-layer
+    ``EngineWrapper`` behind the pool, the instrumented engine and the
+    fallback chain — re-implements the promise and so must be named in that
+    harness's ``DELTA_EXERCISED_ENGINES`` fixture list, otherwise it ships
+    unproven.
     """
 
     rule_id = "delta-equivalence"
@@ -559,21 +563,24 @@ class DeltaEquivalenceRule(Rule):
     )
 
     def check(self, model: ProjectModel) -> Iterator[Finding]:
-        overriders = [
-            info
-            for info in model.classes()
-            if info.registered_engine is not None and "apply_delta" in info.methods
-        ]
+        overriders = []
+        for info in model.classes():
+            if info.registered_engine is None:
+                continue
+            function, owner = model.resolved_methods(info).get("apply_delta", (None, None))
+            if owner is not None and owner.qualname != _PIPELINE_ENGINE_BASE:
+                lineno = function.lineno if owner is info else info.lineno
+                overriders.append((info, owner, lineno))
         if not overriders:
             return
         exercised = self._exercised_engines()
-        for info in overriders:
-            lineno = info.methods["apply_delta"].lineno
+        for info, owner, lineno in overriders:
+            source = "overrides" if owner is info else f"inherits from {owner.name}"
             if exercised is None:
                 yield self._finding(
                     info.module,
                     lineno,
-                    f"engine '{info.registered_engine}' overrides apply_delta "
+                    f"engine '{info.registered_engine}' {source} apply_delta "
                     f"but the differential harness ({_DELTA_HARNESS_RELPATH}) "
                     f"or its {_DELTA_HARNESS_CONSTANT} list is missing",
                     qualname=info.qualname,
@@ -582,7 +589,7 @@ class DeltaEquivalenceRule(Rule):
                 yield self._finding(
                     info.module,
                     lineno,
-                    f"engine '{info.registered_engine}' overrides apply_delta "
+                    f"engine '{info.registered_engine}' {source} apply_delta "
                     f"but is not listed in {_DELTA_HARNESS_CONSTANT} of "
                     f"{_DELTA_HARNESS_RELPATH}: add it so the delta-vs-rebuild "
                     "differential covers the override",

@@ -68,6 +68,7 @@ __all__ = [
     "TwoDEngine",
     "ExactEngine",
     "ApproxEngine",
+    "EngineWrapper",
     "register_engine",
     "get_engine",
     "available_engines",
@@ -661,6 +662,126 @@ class _EngineBase:
         self, payload: dict[str, Any], dataset: Dataset, oracle: FairnessOracle
     ) -> Any:
         raise NotImplementedError
+
+
+# --------------------------------------------------------------------------- #
+# serving-layer wrappers
+# --------------------------------------------------------------------------- #
+class EngineWrapper:
+    """Base of the serving-layer engines that wrap other engines.
+
+    A wrapper (observability, a fallback chain, a process pool, fault
+    injection) presents the whole :class:`QueryEngine` seam but answers
+    through one *primary* engine: :attr:`primary`, which is ``self.inner``
+    unless a subclass says otherwise.  This base owns the pass-through
+    surface, so a subclass overrides only the behaviour it adds:
+
+    * :meth:`preprocess` rebinds ``dataset``/``oracle`` and then runs the
+      :meth:`_preprocess_inner` hook (default: preprocess the primary);
+    * ``index``, ``is_preprocessed``, ``preprocessing_dataset``,
+      ``journal`` and ``base_payload`` read the primary's;
+    * ``suggest``, ``suggest_many``, ``apply_delta`` and ``refresh`` forward
+      to the primary, the maintenance calls re-syncing ``dataset`` after;
+    * registered wrappers describe themselves through :meth:`capabilities`
+      and are not persistable as one payload (``to_payload`` and
+      ``from_payload`` raise, naming ``_rewrap``).
+
+    Subclasses set ``dataset``, ``oracle`` and ``inner`` (or override
+    :attr:`primary`) in ``__init__``.
+    """
+
+    name: str
+    #: How to wrap a loaded engine again, quoted by the not-persistable errors.
+    _rewrap: str
+
+    @property
+    def primary(self) -> Any:
+        """The engine wrapped calls forward to."""
+        return self.inner
+
+    # -- offline phase ------------------------------------------------- #
+    def preprocess(
+        self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None
+    ) -> "EngineWrapper":
+        """Run the wrapped offline phase (optionally rebinding dataset/oracle first)."""
+        if dataset is not None:
+            self.dataset = dataset
+        if oracle is not None:
+            self.oracle = oracle
+        self._preprocess_inner(dataset, oracle)
+        return self
+
+    def _preprocess_inner(
+        self, dataset: Dataset | None, oracle: FairnessOracle | None
+    ) -> None:
+        self.primary.preprocess(dataset, oracle)
+
+    @property
+    def is_preprocessed(self) -> bool:
+        return self.primary.is_preprocessed
+
+    @property
+    def index(self) -> Any:
+        return self.primary.index
+
+    @property
+    def preprocessing_dataset(self) -> Dataset:
+        return self.primary.preprocessing_dataset
+
+    @property
+    def journal(self) -> tuple[DatasetDelta, ...]:
+        return self.primary.journal
+
+    @property
+    def base_payload(self) -> dict[str, Any] | None:
+        return self.primary.base_payload
+
+    # -- online phase --------------------------------------------------- #
+    def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
+        return self.primary.suggest(function)
+
+    def suggest_many(self, weights_matrix: Any) -> list:
+        return self.primary.suggest_many(weights_matrix)
+
+    _as_matrix = _EngineBase._as_matrix
+
+    # -- maintenance ---------------------------------------------------- #
+    def apply_delta(self, delta: DatasetDelta) -> MaintenanceReport:
+        report = self.primary.apply_delta(delta)
+        self.dataset = self.primary.dataset
+        return report
+
+    def refresh(self) -> MaintenanceReport:
+        report = self.primary.refresh()
+        self.dataset = self.primary.dataset
+        return report
+
+    # -- capabilities and persistence ----------------------------------- #
+    @classmethod
+    def capabilities(cls) -> EngineCapabilities:
+        return EngineCapabilities(
+            name=cls.name,
+            exact=False,
+            min_attributes=2,
+            max_attributes=None,
+            batched=True,
+            persistable=False,
+        )
+
+    def to_payload(self) -> dict[str, Any]:
+        raise ConfigurationError(self._not_persistable())
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any], oracle: FairnessOracle) -> "EngineWrapper":
+        raise ConfigurationError(cls._not_persistable())
+
+    @classmethod
+    def _not_persistable(cls) -> str:
+        return (
+            f"{cls.__name__} is a serving-layer wrapper and is not persistable "
+            "as one payload; save the wrapped engine and wrap it again after "
+            f"loading with {cls._rewrap}"
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -40,7 +40,7 @@ import numpy as np
 from repro.clock import Clock, monotonic_clock
 from repro.core.engine import (
     ApproxConfig,
-    EngineCapabilities,
+    EngineWrapper,
     TwoDConfig,
     create_engine,
     engine_name_for_config,
@@ -186,8 +186,10 @@ class InstrumentedOracle(FairnessOracle):
 
 
 @register_engine("instrumented", InstrumentedConfig)
-class InstrumentedEngine:
+class InstrumentedEngine(EngineWrapper):
     """Observability wrapper around any inner engine; see the module docstring."""
+
+    _rewrap = "InstrumentedEngine.from_engine()"
 
     def __init__(
         self,
@@ -293,21 +295,16 @@ class InstrumentedEngine:
     # ------------------------------------------------------------------ #
     # engine protocol
     # ------------------------------------------------------------------ #
-    def preprocess(self, dataset=None, oracle=None) -> "InstrumentedEngine":
-        if dataset is not None:
-            self.dataset = dataset
+    def _preprocess_inner(self, dataset, oracle) -> None:
         if oracle is not None:
-            self.oracle = oracle
             self.instrumented_oracle = InstrumentedOracle(
                 oracle, metrics=self.metrics, recorder=self.recorder
             )
+            oracle = self.instrumented_oracle
         with activated(self.recorder):
             with self.recorder.span("engine.preprocess", engine=self.inner.name):
-                self.inner.preprocess(
-                    dataset, self.instrumented_oracle if oracle is not None else None
-                )
+                self.inner.preprocess(dataset, oracle)
         self.metrics.counter("engine.preprocess", engine=self.inner.name).inc()
-        return self
 
     def suggest(self, function: LinearScoringFunction):
         function = self._as_function(function)
@@ -332,12 +329,7 @@ class InstrumentedEngine:
         return result
 
     def suggest_many(self, weights_matrix) -> list:
-        matrix = np.asarray(weights_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dataset.n_attributes:
-            raise ConfigurationError(
-                f"suggest_many expects a (q, {self.dataset.n_attributes}) weight "
-                f"matrix, got shape {matrix.shape}"
-            )
+        matrix = self._as_matrix(weights_matrix)
         calls_before = self.instrumented_oracle.calls
         started = self._clock()
         with activated(self.recorder):
@@ -375,8 +367,7 @@ class InstrumentedEngine:
                 engine=self.inner.name,
                 n_changes=delta.n_changes,
             ):
-                report = self.inner.apply_delta(delta)
-        self.dataset = self.inner.dataset
+                report = super().apply_delta(delta)
         self.metrics.counter("maintenance.apply_delta", engine=self.inner.name).inc()
         self.metrics.counter(
             f"maintenance.{report.strategy}", engine=self.inner.name
@@ -390,7 +381,7 @@ class InstrumentedEngine:
         """Forward a partial refresh to the inner engine, spanned and counted."""
         with activated(self.recorder):
             with self.recorder.span("maintenance.refresh", engine=self.inner.name):
-                report = self.inner.refresh()
+                report = super().refresh()
         self.metrics.counter("maintenance.refresh", engine=self.inner.name).inc()
         return report
 
@@ -411,47 +402,9 @@ class InstrumentedEngine:
             return [record.tier for record in report.records]
         return [self.inner.name] * size
 
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            name="instrumented",
-            exact=False,
-            min_attributes=2,
-            max_attributes=None,
-            batched=True,
-            persistable=False,
-        )
-
-    def to_payload(self) -> dict:
-        raise ConfigurationError(
-            "an instrumented engine is a serving-layer wrapper and is not "
-            "persistable as one payload; save the inner engine "
-            "(engine.inner) and re-wrap after loading with "
-            "InstrumentedEngine.from_engine()"
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict, oracle: FairnessOracle):
-        raise ConfigurationError(
-            "instrumented engines are not persistable; load the inner engine "
-            "and re-wrap it with InstrumentedEngine.from_engine()"
-        )
-
     # ------------------------------------------------------------------ #
     # forwarded state
     # ------------------------------------------------------------------ #
-    @property
-    def index(self):
-        return self.inner.index
-
-    @property
-    def is_preprocessed(self) -> bool:
-        return self.inner.is_preprocessed
-
-    @property
-    def preprocessing_dataset(self):
-        return self.inner.preprocessing_dataset
-
     @property
     def last_record(self):
         return getattr(self.inner, "last_record", None)
@@ -463,11 +416,3 @@ class InstrumentedEngine:
     @property
     def telemetry(self):
         return getattr(self.inner, "telemetry", None)
-
-    @property
-    def journal(self) -> tuple:
-        return getattr(self.inner, "journal", ())
-
-    @property
-    def base_payload(self):
-        return getattr(self.inner, "base_payload", None)

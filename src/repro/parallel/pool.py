@@ -12,6 +12,8 @@ a worker that sees different index bytes refuses to serve.
 
 Serving semantics:
 
+* ``suggest`` answers on the inner engine in-process: a single query never
+  amortises the IPC round-trip;
 * ``suggest_many`` splits the weight matrix into contiguous shards, fans the
   shards over the pool, and merges the per-shard answers **in shard order**
   — so the output is bit-identical to the serial engine's regardless of
@@ -54,14 +56,13 @@ from typing import Any
 import numpy as np
 
 from repro.core.engine import (
-    EngineCapabilities,
     EngineConfig,
+    EngineWrapper,
     create_engine,
     engine_name_for_config,
     get_engine,
     register_engine,
 )
-from repro.core.result import SuggestionResult
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, NotPreprocessedError
 from repro.fairness.oracle import FairnessOracle
@@ -69,7 +70,6 @@ from repro.io.index_store import load_engine, read_store_digest, save_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import reset_stage_recorder, stage_span
 from repro.parallel.shards import derive_shard_seed, plan_shards, shard_size_for
-from repro.ranking.scoring import LinearScoringFunction
 from repro.resilience.fallback import _PASS_THROUGH, FallbackEngine, QueryFailure, TierError
 
 __all__ = ["PoolConfig", "PoolEngine"]
@@ -193,8 +193,10 @@ def _pool_worker_task(
 # parent side
 # ---------------------------------------------------------------------- #
 @register_engine("pool", PoolConfig)
-class PoolEngine:
+class PoolEngine(EngineWrapper):
     """Process-pool serving over one persistable inner engine; see module docstring."""
+
+    _rewrap = "PoolEngine.from_engine()"
 
     def __init__(
         self,
@@ -231,7 +233,7 @@ class PoolEngine:
         else:
             _require_persistable_config(inner_engine.config)
         self.config = config
-        self._inner = inner_engine
+        self.inner = inner_engine
         self._executor: ProcessPoolExecutor | None = None
         self._local_chain: FallbackEngine | None = None
         self._tempdir: tempfile.TemporaryDirectory | None = None
@@ -282,32 +284,13 @@ class PoolEngine:
     # ------------------------------------------------------------------ #
     # offline phase
     # ------------------------------------------------------------------ #
-    def preprocess(
-        self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None
-    ) -> "PoolEngine":
+    def _preprocess_inner(
+        self, dataset: Dataset | None, oracle: FairnessOracle | None
+    ) -> None:
         """Preprocess the inner engine (if needed) and publish its index file."""
-        if dataset is not None:
-            self.dataset = dataset
-        if oracle is not None:
-            self.oracle = oracle
-        if not self._inner.is_preprocessed or dataset is not None or oracle is not None:
-            self._inner.preprocess(dataset, oracle)
+        if not self.inner.is_preprocessed or dataset is not None or oracle is not None:
+            self.inner.preprocess(dataset, oracle)
         self._publish_index()
-        return self
-
-    @property
-    def is_preprocessed(self) -> bool:
-        return self._inner.is_preprocessed
-
-    @property
-    def index(self) -> Any:
-        """The inner engine's offline index."""
-        return self._inner.index
-
-    @property
-    def inner_engine(self) -> Any:
-        """The wrapped engine (answers single queries, owns the index)."""
-        return self._inner
 
     @property
     def index_digest(self) -> str | None:
@@ -319,7 +302,7 @@ class PoolEngine:
         if self._tempdir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-pool-")
         path = Path(self._tempdir.name) / "index.json"
-        save_engine(self._inner, path)
+        save_engine(self.inner, path)
         self._index_path = path
         self._index_digest = read_store_digest(path)
         # Workers of an existing pool hold the previous index: retire them.
@@ -328,7 +311,7 @@ class PoolEngine:
 
     def _ensure_published(self) -> None:
         if self._index_path is None:
-            if not self._inner.is_preprocessed:
+            if not self.inner.is_preprocessed:
                 raise NotPreprocessedError("call preprocess() first")
             self._publish_index()
 
@@ -345,48 +328,24 @@ class PoolEngine:
         mechanism that guards against index corruption — a worker can never
         serve from pre-delta bytes.
         """
-        report = self._inner.apply_delta(delta)
-        self.dataset = self._inner.dataset
+        report = super().apply_delta(delta)
         self.metrics.counter("pool.index_republished").inc()
         self._publish_index()
         return report
 
     def refresh(self) -> Any:
         """Refresh the inner engine's oracle-dependent stages and republish."""
-        report = self._inner.refresh()
+        report = super().refresh()
         self.metrics.counter("pool.index_republished").inc()
         self._publish_index()
         return report
 
-    @property
-    def journal(self) -> tuple:
-        """The inner engine's applied-delta journal (pools serialise as it)."""
-        return self._inner.journal
-
-    @property
-    def base_payload(self) -> dict | None:
-        """The inner engine's pre-delta base snapshot, for journaled saves."""
-        return self._inner.base_payload
-
     # ------------------------------------------------------------------ #
     # online phase
     # ------------------------------------------------------------------ #
-    def suggest(self, function: LinearScoringFunction) -> SuggestionResult:
-        """Answer one query on the inner engine in-process.
-
-        A single query never amortises the IPC round-trip, so ``suggest``
-        always serves locally — bit-identical to the unwrapped engine.
-        """
-        return self._inner.suggest(function)
-
     def suggest_many(self, weights_matrix: Any) -> list:
         """Answer a batch across the pool; see the module docstring for semantics."""
-        matrix = np.asarray(weights_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dataset.n_attributes:
-            raise ConfigurationError(
-                f"suggest_many expects a (q, {self.dataset.n_attributes}) weight "
-                f"matrix, got shape {matrix.shape}"
-            )
+        matrix = self._as_matrix(weights_matrix)
         self._ensure_published()
         q = matrix.shape[0]
         self.metrics.counter("pool.batches").inc()
@@ -534,7 +493,7 @@ class PoolEngine:
         exactly the entries (and tier labels) a one-worker pool would.
         """
         if self._local_chain is None:
-            self._local_chain = FallbackEngine.from_engines([self._inner]).preprocess()
+            self._local_chain = FallbackEngine.from_engines([self.inner]).preprocess()
         return self._local_chain
 
     def _shutdown_executor(self) -> None:
@@ -565,19 +524,8 @@ class PoolEngine:
             pass
 
     # ------------------------------------------------------------------ #
-    # capabilities and persistence
+    # persistence
     # ------------------------------------------------------------------ #
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            name="pool",
-            exact=False,
-            min_attributes=2,
-            max_attributes=None,
-            batched=True,
-            persistable=False,
-        )
-
     def to_payload(self) -> dict:
         """The *inner* engine's payload (a pool is serving topology, not state).
 
@@ -585,15 +533,7 @@ class PoolEngine:
         the differential harness compares; loading it back yields the inner
         engine — re-wrap with :meth:`from_engine` to restore a pool.
         """
-        return self._inner.to_payload()
-
-    @classmethod
-    def from_payload(cls, payload: dict, oracle: FairnessOracle) -> "PoolEngine":
-        raise ConfigurationError(
-            "a pool engine serialises as its inner engine; load the payload "
-            "with load_engine()/engine_from_payload() and re-wrap the result "
-            "with PoolEngine.from_engine()"
-        )
+        return self.inner.to_payload()
 
 
 def _failure_count(entries: list) -> int:

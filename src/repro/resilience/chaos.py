@@ -29,6 +29,7 @@ import hashlib
 
 import numpy as np
 
+from repro.core.engine import EngineWrapper
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, OracleError, TransientOracleError
 from repro.fairness.oracle import FairnessOracle
@@ -137,17 +138,22 @@ class ChaosOracle(FairnessOracle):
         )
 
 
-class ChaosEngine:
+class ChaosEngine(EngineWrapper):
     """A query-engine wrapper that injects per-query faults and latency.
 
-    Implements the :class:`~repro.core.engine.QueryEngine` online surface by
-    forwarding to ``inner``; faults are keyed by each query's weight vector,
-    so a poisoned query fails the same way in the batch path, the per-query
-    path, and on retries (see module docstring).  ``suggest_many`` raises on
+    Forwards the whole :class:`~repro.core.engine.QueryEngine` seam to
+    ``inner`` (through :class:`~repro.core.engine.EngineWrapper`), and takes
+    the inner engine's name, config, capabilities and payload as its own, so
+    a chain labels and persists a chaos tier as the engine it wraps.  Faults
+    are keyed by each query's weight vector, so a poisoned query fails the
+    same way in the batch path, the per-query path, and on retries (see
+    module docstring).  ``suggest_many`` raises on
     the *first* poisoned query in the batch — exactly how one bad query used
     to take down a whole unprotected batch — which is the failure mode the
     fallback layer's per-query isolation is tested against.
     """
+
+    _rewrap = "ChaosEngine(engine)"
 
     def __init__(
         self,
@@ -164,6 +170,8 @@ class ChaosEngine:
                 "injecting latency requires a FakeClock to advance"
             )
         self.inner = inner
+        self.dataset = inner.dataset
+        self.oracle = inner.oracle
         self.failure_rate = _check_rate("failure_rate", failure_rate)
         self.latency = float(latency)
         self.seed = int(seed)
@@ -171,37 +179,20 @@ class ChaosEngine:
         self.enabled = enabled
         self.injected_failures = 0
 
-    # -- passthrough of the engine surface ------------------------------ #
+    # -- the inner engine's identity ------------------------------------- #
     @property
     def name(self) -> str:
         return getattr(self.inner, "name", type(self.inner).__name__)
 
     @property
-    def dataset(self):
-        return self.inner.dataset
-
-    @property
-    def oracle(self):
-        return self.inner.oracle
-
-    @property
     def config(self):
         return self.inner.config
-
-    @property
-    def index(self):
-        return self.inner.index
-
-    @property
-    def is_preprocessed(self) -> bool:
-        return self.inner.is_preprocessed
 
     def capabilities(self):
         return self.inner.capabilities()
 
-    def preprocess(self, dataset=None, oracle=None):
-        self.inner.preprocess(dataset, oracle)
-        return self
+    def to_payload(self) -> dict:
+        return self.inner.to_payload()
 
     # -- fault injection ------------------------------------------------- #
     def _weights_payload(self, weights) -> bytes:
@@ -224,7 +215,7 @@ class ChaosEngine:
     def suggest(self, function):
         if self.enabled:
             self._maybe_fault(function.weights)
-        return self.inner.suggest(function)
+        return super().suggest(function)
 
     def suggest_many(self, weights_matrix):
         if self.enabled:
@@ -232,7 +223,4 @@ class ChaosEngine:
             if matrix.ndim == 2:
                 for row in matrix:
                     self._maybe_fault(row)
-        return self.inner.suggest_many(weights_matrix)
-
-    def to_payload(self) -> dict:
-        return self.inner.to_payload()
+        return super().suggest_many(weights_matrix)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import (
-    EngineCapabilities,
+    EngineWrapper,
     create_engine,
     engine_name_for_config,
     register_engine,
@@ -191,41 +191,6 @@ class BatchReport:
         return dict(counts)
 
 
-class _TierCounterView:
-    """``collections.Counter``-like view over one tier-labeled metric family.
-
-    Supports exactly what telemetry consumers use: ``view[tier] += n``,
-    ``dict(view)`` and iteration.  Reads and writes go straight to the
-    underlying :class:`~repro.obs.metrics.MetricsRegistry` series, so there
-    is one counter source however many readers look at it.
-    """
-
-    def __init__(self, metrics: MetricsRegistry, name: str) -> None:
-        self._metrics = metrics
-        self._name = name
-
-    def __getitem__(self, tier: str) -> int:
-        return self._metrics.counter(self._name, tier=tier).value
-
-    def __setitem__(self, tier: str, value: int) -> None:
-        self._metrics.counter(self._name, tier=tier).value = int(value)
-
-    def keys(self) -> list:
-        return [
-            dict(series.labels).get("tier")
-            for series in self._metrics.counter_series(self._name)
-        ]
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
 class FallbackTelemetry:
     """Cumulative serving counters across the life of a fallback engine.
 
@@ -235,10 +200,9 @@ class FallbackTelemetry:
     ``fallback.answered`` / ``fallback.tier_failures`` families) — pass
     ``metrics=`` to share a registry with an instrumented engine so the
     error budget and ``python -m repro.obs report`` read one counter source.
-    The public surface is unchanged:
-    ``repro.core.monitoring.error_budget_report`` still duck-types on plain
-    ``n_queries``/``n_failovers``/``n_unanswered`` ints and dict-able
-    ``answered_by``/``tier_failures``.
+    ``repro.core.monitoring.error_budget_report`` duck-types on the plain
+    ``n_queries``/``n_failovers``/``n_unanswered`` ints and the
+    ``answered_by``/``tier_failures`` per-tier dicts.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
@@ -246,8 +210,6 @@ class FallbackTelemetry:
         self._queries = self.metrics.counter("fallback.queries")
         self._failovers = self.metrics.counter("fallback.failovers")
         self._unanswered = self.metrics.counter("fallback.unanswered")
-        self.answered_by = _TierCounterView(self.metrics, "fallback.answered")
-        self.tier_failures = _TierCounterView(self.metrics, "fallback.tier_failures")
 
     @property
     def n_queries(self) -> int:
@@ -273,27 +235,45 @@ class FallbackTelemetry:
     def n_unanswered(self, value: int) -> None:
         self._unanswered.value = int(value)
 
-    def record_answer(self, tier: str, failover: bool) -> None:
-        self.answered_by[tier] += 1
+    @property
+    def answered_by(self) -> dict:
+        """Answered-query counts per tier label."""
+        return self._per_tier("fallback.answered")
+
+    @property
+    def tier_failures(self) -> dict:
+        """Failed-attempt counts per tier label."""
+        return self._per_tier("fallback.tier_failures")
+
+    def _per_tier(self, name: str) -> dict:
+        return {
+            dict(series.labels)["tier"]: series.value
+            for series in self.metrics.counter_series(name)
+        }
+
+    def record_answer(self, tier: str, failover: bool, count: int = 1) -> None:
+        self.metrics.counter("fallback.answered", tier=tier).inc(count)
         if failover:
-            self.n_failovers += 1
+            self.n_failovers += count
 
     def record_tier_failure(self, tier: str) -> None:
-        self.tier_failures[tier] += 1
+        self.metrics.counter("fallback.tier_failures", tier=tier).inc()
 
     def as_dict(self) -> dict:
         return {
             "n_queries": self.n_queries,
             "n_failovers": self.n_failovers,
             "n_unanswered": self.n_unanswered,
-            "answered_by": dict(self.answered_by),
-            "tier_failures": dict(self.tier_failures),
+            "answered_by": self.answered_by,
+            "tier_failures": self.tier_failures,
         }
 
 
 @register_engine("fallback", FallbackConfig)
-class FallbackEngine:
+class FallbackEngine(EngineWrapper):
     """The ordered-chain engine; see the module docstring for semantics."""
+
+    _rewrap = "FallbackEngine.from_engines()"
 
     def __init__(
         self,
@@ -379,12 +359,10 @@ class FallbackEngine:
     # ------------------------------------------------------------------ #
     # offline phase
     # ------------------------------------------------------------------ #
-    def preprocess(self, dataset: Dataset | None = None, oracle: FairnessOracle | None = None):
+    def _preprocess_inner(
+        self, dataset: Dataset | None, oracle: FairnessOracle | None
+    ) -> None:
         """Preprocess every tier; drop tiers that fail when lenient."""
-        if dataset is not None:
-            self.dataset = dataset
-        if oracle is not None:
-            self.oracle = oracle
         active: list[tuple[str, object]] = []
         errors: list[TierError] = []
         for position, engine in enumerate(self.engines):
@@ -404,7 +382,6 @@ class FallbackEngine:
                 + "; ".join(f"{e.tier}: {e.message}" for e in errors)
             )
         self._active = tuple(active)
-        return self
 
     @property
     def is_preprocessed(self) -> bool:
@@ -416,9 +393,9 @@ class FallbackEngine:
         return tuple(label for label, _ in self._active_chain())
 
     @property
-    def index(self):
-        """The first active tier's index (the authoritative answer source)."""
-        return self._active_chain()[0][1].index
+    def primary(self):
+        """The first active tier (the authoritative answer source)."""
+        return self._active_chain()[0][1]
 
     def _active_chain(self) -> tuple[tuple[str, object], ...]:
         if self._active is None:
@@ -466,7 +443,7 @@ class FallbackEngine:
             )
         self.preprocess_errors = tuple(errors)
         self._active = tuple(survivors)
-        self.dataset = survivors[0][1].dataset
+        self.dataset = self.primary.dataset
         primary = reports[0][1]
         from repro.core.maintenance import MaintenanceReport
 
@@ -533,12 +510,7 @@ class FallbackEngine:
         per-query faults; see the module docstring for the two pass-through
         exception types.
         """
-        matrix = np.asarray(weights_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dataset.n_attributes:
-            raise ConfigurationError(
-                f"suggest_many expects a (q, {self.dataset.n_attributes}) weight "
-                f"matrix, got shape {matrix.shape}"
-            )
+        matrix = self._as_matrix(weights_matrix)
         chain = self._active_chain()
         q = matrix.shape[0]
         self.telemetry.n_queries += q
@@ -554,7 +526,7 @@ class FallbackEngine:
         except Exception:  # noqa: BLE001 — fall through to isolation below
             pass
         else:
-            self.telemetry.answered_by[first_label] += q
+            self.telemetry.record_answer(first_label, failover=False, count=q)
             self._last_batch = (q, first_label)
             return answers
 
@@ -663,31 +635,3 @@ class FallbackEngine:
                 tuple(QueryRecord(position, label) for position in range(q))
             )
         return self._last_batch
-
-    # ------------------------------------------------------------------ #
-    # capabilities and persistence
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            name="fallback",
-            exact=False,
-            min_attributes=2,
-            max_attributes=None,
-            batched=True,
-            persistable=False,
-        )
-
-    def to_payload(self) -> dict:
-        raise ConfigurationError(
-            "a fallback engine is a serving-layer composite and is not "
-            "persistable as one payload; save each tier engine individually "
-            "and rebuild the chain with FallbackEngine.from_engines()"
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict, oracle: FairnessOracle):
-        raise ConfigurationError(
-            "fallback engines are not persistable; load each tier engine and "
-            "rebuild the chain with FallbackEngine.from_engines()"
-        )

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ApproxConfig, create_engine
+from repro.core.engine import ApproxConfig, TwoDConfig, create_engine
+from repro.core.maintenance import DatasetDelta
 from repro.exceptions import OracleUnavailableError
 from repro.fairness.oracle import CountingOracle
 from repro.ranking.scoring import LinearScoringFunction
@@ -281,3 +282,36 @@ class TestServingUnderChaos:
                 tuple(record.tier for record in engine.last_report.records)
             )
         assert outcomes[0] == outcomes[1]
+
+
+# --------------------------------------------------------------------------- #
+# maintenance through a chaos tier
+# --------------------------------------------------------------------------- #
+class TestChaosTierMaintenance:
+    def test_fallback_chain_keeps_a_chaos_tier_through_apply_delta(
+        self, small_compas_2d, race_oracle_2d
+    ):
+        tier_a = create_engine(small_compas_2d, race_oracle_2d, TwoDConfig()).preprocess()
+        tier_b = create_engine(small_compas_2d, race_oracle_2d, TwoDConfig()).preprocess()
+        chaotic = ChaosEngine(tier_a, failure_rate=0.2, seed=13)
+        engine = FallbackEngine.from_engines([chaotic, tier_b]).preprocess()
+        delta = DatasetDelta(deletes=(1, 5), updates=((7, (0.5, 0.5)),))
+
+        engine.apply_delta(delta)
+
+        assert engine.active_tiers == ("0:2d", "1:2d")
+        assert engine.preprocess_errors == ()
+        rebuilt = create_engine(
+            delta.apply(small_compas_2d), race_oracle_2d, TwoDConfig()
+        ).preprocess()
+        matrix = _queries(20, d=2, seed=4)
+        expected = rebuilt.suggest_many(matrix)
+        results = engine.suggest_many(matrix)
+        chaos_answered = [
+            row
+            for row, record in enumerate(engine.last_report.records)
+            if record.tier == "0:2d"
+        ]
+        assert chaos_answered, "the chaos tier must answer some queries"
+        for row in chaos_answered:
+            assert results[row] == expected[row]

@@ -17,7 +17,8 @@ Covered:
   re-save of the loaded engine is byte-identical to the original file;
 * the wrapper engines (``pool``, ``instrumented``, ``fallback``) that
   override ``apply_delta``: each propagates a delta to the same bits as a
-  fresh rebuild.
+  fresh rebuild, and every wrapper (chaos included) forwards the whole
+  engine seam and re-syncs its dataset and journal after a delta.
 
 The oracles on both sides of every differential are constructed with *fixed*
 parameters (never derived from a dataset, e.g. via
@@ -47,6 +48,7 @@ from repro.fairness.proportional import ProportionalOracle
 from repro.io.index_store import save_engine, load_engine
 from repro.obs.instrument import InstrumentedEngine
 from repro.parallel.pool import PoolEngine
+from repro.resilience.chaos import ChaosEngine
 from repro.resilience.fallback import FallbackEngine
 
 pytestmark = pytest.mark.dynamic
@@ -305,6 +307,47 @@ class TestWrapperEngines:
             ]
         finally:
             engine.close()
+
+
+    SEAM = (
+        "dataset",
+        "oracle",
+        "config",
+        "name",
+        "index",
+        "is_preprocessed",
+        "preprocessing_dataset",
+        "journal",
+        "base_payload",
+        "preprocess",
+        "suggest",
+        "suggest_many",
+        "apply_delta",
+        "refresh",
+        "capabilities",
+        "to_payload",
+        "from_payload",
+    )
+    WRAPPERS = {
+        "chaos": ChaosEngine,
+        "fallback": lambda inner: FallbackEngine.from_engines([inner]),
+        "instrumented": InstrumentedEngine.from_engine,
+        "pool": lambda inner: PoolEngine.from_engine(inner, n_workers=1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRAPPERS))
+    def test_wrapper_forwards_the_whole_seam(self, kind):
+        ds, inner = self._base()
+        engine = self.WRAPPERS[kind](inner.preprocess()).preprocess()
+        try:
+            for attribute in self.SEAM:
+                getattr(engine, attribute)
+            engine.apply_delta(random_delta(ds, seed=0))
+            assert engine.dataset is inner.dataset
+            assert engine.journal == inner.journal and len(engine.journal) == 1
+        finally:
+            if kind == "pool":
+                engine.close()
 
 
 # --------------------------------------------------------------------------- #

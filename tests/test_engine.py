@@ -195,7 +195,7 @@ class TestHyperplaneMethodEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# the facade and the deprecation shim
+# the facade
 # --------------------------------------------------------------------------- #
 class TestFacade:
     def test_plain_construction_does_not_warn(self, two_d_designer):
@@ -212,27 +212,6 @@ class TestFacade:
             designer = FairRankingDesigner(dataset, oracle, ApproxConfig(n_cells=9))
         assert designer.mode == "approximate"
         assert designer.config.n_cells == 9
-
-    def test_legacy_kwargs_warn_but_work(self, md_dataset_oracle):
-        dataset, oracle = md_dataset_oracle
-        with pytest.warns(DeprecationWarning):
-            designer = FairRankingDesigner(dataset, oracle, n_cells=16, max_hyperplanes=10)
-        assert designer.mode == "approximate"
-        assert designer.config == ApproxConfig(n_cells=16, max_hyperplanes=10)
-
-    def test_legacy_mode_exact_maps_to_exact_config(self, md_dataset_oracle):
-        dataset, oracle = md_dataset_oracle
-        with pytest.warns(DeprecationWarning):
-            designer = FairRankingDesigner(
-                dataset, oracle, mode="exact", max_hyperplanes=20, sample_size=10
-            )
-        assert designer.mode == "exact"
-        assert designer.config == ExactConfig(max_hyperplanes=20, sample_size=10)
-
-    def test_config_and_legacy_kwargs_together_rejected(self, md_dataset_oracle):
-        dataset, oracle = md_dataset_oracle
-        with pytest.raises(ConfigurationError):
-            FairRankingDesigner(dataset, oracle, ApproxConfig(), n_cells=16)
 
     def test_suggest_dispatches_without_isinstance_asserts(self, approx_designer):
         # Real dispatch: the engine method, not an assert-guarded branch in

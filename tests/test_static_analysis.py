@@ -117,6 +117,15 @@ class TestRuleFixtures:
         for method in ("preprocess", "suggest_many", "capabilities"):
             assert method in messages
 
+    def test_delta_equivalence_flags_inherited_apply_delta(self):
+        # A registered engine taking apply_delta from any base other than the
+        # pipeline engines' _EngineBase must be listed in the harness too.
+        result = run_over([FIXTURES / "delta_equivalence" / "inherited_bad.py"])
+        fired = [f for f in result.findings if f.rule == "delta-equivalence"]
+        assert len(fired) == 1
+        assert "fixture-inherited-delta-engine" in fired[0].message
+        assert "inherits from DelegatingBase" in fired[0].message
+
     def test_determinism_counts_every_violation_kind(self):
         result = run_over([FIXTURES / "determinism" / "bad.py"])
         lines = {f.line for f in result.findings if f.rule == "determinism"}
