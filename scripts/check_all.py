@@ -17,7 +17,12 @@ Runs, in order:
 6. the delta smoke — the delta-vs-rebuild bit-identity test on one small
    dataset (``tests/test_dynamic_equivalence.py``): an engine maintained
    through ``apply_delta`` must answer identically to a from-scratch rebuild
-   on the mutated dataset.
+   on the mutated dataset;
+7. the LP identity smoke — every LP that a small approximate build and a
+   small exact build issue, replayed through the direct HiGHS path of
+   ``repro.geometry.lp`` and the ``linprog`` reference in
+   ``tests/reference.py`` (``tests/test_lp_equivalence.py``): flags, witness
+   points and margins must match byte for byte.
 
 Usage::
 
@@ -55,6 +60,10 @@ DIFFERENTIAL_SMOKE = (
 #: The delta-vs-rebuild smoke test (one small 2-D dataset, one mixed delta) —
 #: the cheap incarnation of the PR-10 maintenance bit-identity proof.
 DELTA_SMOKE = "tests/test_dynamic_equivalence.py::TestDeltaSmoke::test_delta_smoke"
+
+#: The recorded-corpus LP identity test (the LPs of one small approximate and
+#: one small exact build, replayed through both LP paths).
+LP_IDENTITY_SMOKE = "tests/test_lp_equivalence.py::test_recorded_corpus_bit_identical"
 
 
 def _load_script(name: str):
@@ -113,6 +122,13 @@ def run_delta_smoke() -> int:
     )
 
 
+def run_lp_identity_smoke() -> int:
+    return _run_pytest(
+        (LP_IDENTITY_SMOKE,),
+        "LP identity smoke: OK (direct HiGHS path == linprog reference, byte for byte)",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="consolidated pre-PR gate")
     parser.add_argument(
@@ -128,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         ("doctests", run_doctests),
         ("differential_smoke", run_differential_smoke),
         ("delta_smoke", run_delta_smoke),
+        ("lp_identity_smoke", run_lp_identity_smoke),
     )
     if args.quick:
         gates = (("differential_smoke", run_differential_smoke),)

@@ -1,0 +1,145 @@
+"""Reference LP helpers: the :func:`scipy.optimize.linprog` implementation.
+
+``repro.geometry.lp`` drives HiGHS directly through one pre-validated call
+path.  This module keeps the ``linprog(..., method="highs")`` formulation
+that path replaced, verbatim, so the identity tests can replay the same
+systems through both and demand byte-identical answers.  It is test-only:
+nothing under ``src/repro`` imports it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize import linprog
+
+from repro.exceptions import GeometryError, InfeasibleRegionError
+from repro.geometry.lp import LPResult
+
+__all__ = ["chebyshev_center", "feasible_point"]
+
+
+def _validate_system(
+    a_ub: np.ndarray | None, b_ub: np.ndarray | None, bounds: list[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    if not bounds:
+        raise GeometryError("bounds must describe at least one variable")
+    dimension = len(bounds)
+    if a_ub is None or len(a_ub) == 0:
+        a_matrix = np.zeros((0, dimension), dtype=float)
+        b_vector = np.zeros(0, dtype=float)
+    else:
+        a_matrix = np.asarray(a_ub, dtype=float)
+        b_vector = np.asarray(b_ub, dtype=float)
+        if a_matrix.ndim != 2 or a_matrix.shape[1] != dimension:
+            raise GeometryError(
+                f"constraint matrix has shape {a_matrix.shape}, expected (*, {dimension})"
+            )
+        if b_vector.shape != (a_matrix.shape[0],):
+            raise GeometryError("right-hand side length must match the number of constraints")
+    for low, high in bounds:
+        if low > high:
+            raise GeometryError(f"invalid bound ({low}, {high})")
+    return a_matrix, b_vector, dimension
+
+
+def feasible_point(
+    a_ub: np.ndarray | None,
+    b_ub: np.ndarray | None,
+    bounds: list[tuple[float, float]],
+    margin: float = 0.0,
+) -> LPResult:
+    """Find any point satisfying ``A x <= b - margin`` within box ``bounds``.
+
+    Parameters
+    ----------
+    a_ub, b_ub:
+        Inequality system ``A x <= b``; ``None`` means no linear constraints.
+    bounds:
+        Per-variable ``(low, high)`` box.
+    margin:
+        Require constraints to hold with this slack, which turns open regions
+        of the arrangement into closed ones with a strictly interior witness.
+
+    Returns
+    -------
+    LPResult
+        ``feasible`` flag and the witness point (``None`` if infeasible).
+    """
+    a_matrix, b_vector, dimension = _validate_system(a_ub, b_ub, bounds)
+    if margin < 0:
+        raise GeometryError("margin must be non-negative")
+    result = linprog(
+        c=np.zeros(dimension),
+        A_ub=a_matrix if a_matrix.size else None,
+        b_ub=(b_vector - margin) if a_matrix.size else None,
+        bounds=bounds,
+        method="highs",
+    )
+    if not result.success:
+        return LPResult(feasible=False, point=None)
+    return LPResult(feasible=True, point=np.asarray(result.x, dtype=float), margin=margin)
+
+
+def chebyshev_center(
+    a_ub: np.ndarray | None,
+    b_ub: np.ndarray | None,
+    bounds: list[tuple[float, float]],
+) -> LPResult:
+    """Return the Chebyshev centre of ``{x : A x <= b, low <= x <= high}``.
+
+    The Chebyshev centre maximises the radius of a ball contained in the
+    region, so it is the most robust interior representative to hand to the
+    fairness oracle: a tiny numerical perturbation cannot push it across a
+    bounding hyperplane into a neighbouring region with a different ordering.
+
+    Raises
+    ------
+    InfeasibleRegionError
+        If the region is empty (no feasible point at all).
+    """
+    a_matrix, b_vector, dimension = _validate_system(a_ub, b_ub, bounds)
+    # Augment with the box constraints so the inscribed ball respects them too.
+    box_rows = []
+    box_rhs = []
+    for index, (low, high) in enumerate(bounds):
+        row = np.zeros(dimension)
+        row[index] = 1.0
+        box_rows.append(row.copy())
+        box_rhs.append(high)
+        row_neg = np.zeros(dimension)
+        row_neg[index] = -1.0
+        box_rows.append(row_neg)
+        box_rhs.append(-low)
+    full_a = np.vstack([a_matrix, np.asarray(box_rows)]) if a_matrix.size else np.asarray(box_rows)
+    full_b = (
+        np.concatenate([b_vector, np.asarray(box_rhs)]) if a_matrix.size else np.asarray(box_rhs)
+    )
+    norms = np.linalg.norm(full_a, axis=1)
+    # Degenerate all-zero rows (possible if a hyperplane has zero coefficients)
+    # contribute nothing to the geometry; drop them to keep the LP well posed.
+    keep = norms > 0
+    full_a = full_a[keep]
+    full_b = full_b[keep]
+    norms = norms[keep]
+    if full_a.shape[0] == 0:
+        raise GeometryError("chebyshev_center requires at least one constraint")
+    # Variables: (x, radius).  Maximise radius subject to A x + ||a_i|| r <= b.
+    objective = np.zeros(dimension + 1)
+    objective[-1] = -1.0
+    augmented = np.hstack([full_a, norms[:, None]])
+    lp_bounds = [(None, None)] * dimension + [(0.0, None)]
+    result = linprog(
+        c=objective, A_ub=augmented, b_ub=full_b, bounds=lp_bounds, method="highs"
+    )
+    if not result.success:
+        raise InfeasibleRegionError("region has no interior point (empty or degenerate)")
+    point = np.asarray(result.x[:dimension], dtype=float)
+    radius = float(result.x[-1])
+    if radius <= 0.0:
+        # The region is non-empty but has an empty interior (lower dimensional).
+        # Fall back to any feasible point so callers can still evaluate it.
+        fallback = feasible_point(a_matrix if a_matrix.size else None, b_vector, bounds)
+        if not fallback.feasible:
+            raise InfeasibleRegionError("region is empty")
+        return LPResult(feasible=True, point=fallback.point, margin=0.0)
+    return LPResult(feasible=True, point=point, margin=radius)
